@@ -45,6 +45,10 @@ type Options struct {
 	// built-in pricing algorithms ignore it: they see only the finished
 	// hypergraph, whose conflict sets are byte-identical at every count.
 	Shards int
+	// Workers bounds the pool that solves LPIP's and CIP's independent
+	// candidate LPs concurrently (0 = GOMAXPROCS, 1 = serial). Results are
+	// identical at every worker count.
+	Workers int
 }
 
 // Algorithm is one arbitrage-free pricing algorithm.
@@ -185,12 +189,16 @@ func init() {
 		return pricing.UniformItem(h), nil
 	}))
 	mustRegister(New("LPIP", func(h *hypergraph.Hypergraph, opts Options) (pricing.Result, error) {
-		return pricing.LPItem(h, pricing.LPItemOptions{MaxCandidates: opts.LPIPMaxCandidates})
+		return pricing.LPItem(h, pricing.LPItemOptions{
+			MaxCandidates: opts.LPIPMaxCandidates,
+			Workers:       opts.Workers,
+		})
 	}))
 	mustRegister(New("CIP", func(h *hypergraph.Hypergraph, opts Options) (pricing.Result, error) {
 		return pricing.Capacity(h, pricing.CapacityOptions{
 			Epsilon:       opts.CIPEpsilon,
 			MaxCapacities: opts.CIPMaxCapacities,
+			Workers:       opts.Workers,
 		})
 	}))
 	mustRegister(New("Layering", func(h *hypergraph.Hypergraph, _ Options) (pricing.Result, error) {

@@ -191,3 +191,23 @@ func TestXOSPrecomputedWeightSets(t *testing.T) {
 		t.Errorf("precomputed XOS solved %d LPs, want 0", reused.LPSolves)
 	}
 }
+
+// TestWorkersDoNotChangeResults runs the LP-based algorithms, and XOS over
+// them, serially and over a worker pool: every result must be identical.
+func TestWorkersDoNotChangeResults(t *testing.T) {
+	h := testInstance(t)
+	for _, name := range []string{"LPIP", "CIP", "XOS"} {
+		serial, err := Price(name, h, Options{CIPEpsilon: 0.2, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled, err := Price(name, h, Options{CIPEpsilon: 0.2, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Runtime, pooled.Runtime = 0, 0
+		if !reflect.DeepEqual(serial, pooled) {
+			t.Errorf("%s: workers=1 %+v, workers=3 %+v", name, serial, pooled)
+		}
+	}
+}

@@ -9,6 +9,15 @@
 // anti-cycling fallback, and periodic refactorization. It is designed for
 // the moderate sizes that arise in query pricing (hundreds to a few
 // thousand rows), not for industrial-scale LPs.
+//
+// The kernel keeps the row-major inverse and reads the constraint matrix
+// column-wise (CSC) in direct loops. FTRAN (Binv * A_j) accumulates each
+// entry over one row of the inverse; the simplex multipliers c_B * Binv are
+// kept across bound flips, which change neither the basis nor its inverse,
+// and recomputed only after a pivot; and the refactorization work matrix is
+// allocated once per solve, so refactorizing allocates nothing. None of
+// this reorders a floating-point operation, so X, Dual and Iters do not
+// depend on it.
 package lp
 
 import (
@@ -121,22 +130,6 @@ func (p *Problem) AddVariable(obj, lo, hi float64) int {
 	p.hi = append(p.hi, hi)
 	return len(p.obj) - 1
 }
-
-// AddVariables appends k variables with identical parameters and returns the
-// index of the first.
-func (p *Problem) AddVariables(k int, obj, lo, hi float64) int {
-	first := len(p.obj)
-	for i := 0; i < k; i++ {
-		p.AddVariable(obj, lo, hi)
-	}
-	return first
-}
-
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.obj) }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
 
 // AddConstraint appends the constraint sum_i coef[i]*x[idx[i]] rel rhs and
 // returns its row index (used to read duals). Indices must be valid and

@@ -30,11 +30,13 @@ type simplex struct {
 	pos     []int     // row of a basic column, or -1 if nonbasic
 	atUpper []bool    // nonbasic column rests at its upper bound
 
-	binv [][]float64 // dense basis inverse
+	binv [][]float64 // dense basis inverse, row-major
 
 	// scratch buffers reused across iterations
-	y []float64 // simplex multipliers
-	w []float64 // Binv * A_j
+	y   []float64   // simplex multipliers
+	w   []float64   // Binv * A_j
+	r   []float64   // residual b - N x_N of recomputeBasics
+	aug [][]float64 // [B | I] of refactorize, allocated on first use
 
 	iters       int
 	maxIters    int
@@ -102,6 +104,7 @@ func newSimplex(p *Problem) *simplex {
 	s.atUpper = make([]bool, s.nc)
 	s.y = make([]float64, m)
 	s.w = make([]float64, m)
+	s.r = make([]float64, m)
 
 	sign := 1.0
 	if p.sense == Minimize {
@@ -133,7 +136,7 @@ func newSimplex(p *Problem) *simplex {
 	// Residual each row's initial basic variable must absorb, with the
 	// structural variables at their resting bounds (slack contribution
 	// excluded for now).
-	r := make([]float64, m)
+	r := s.r
 	copy(r, s.b)
 	for j := 0; j < nv; j++ {
 		if s.x[j] != 0 {
@@ -197,20 +200,14 @@ func nearestBound(lo, hi float64) float64 {
 	}
 }
 
-// column visits the nonzero entries of column j as (row, value) pairs.
-func (s *simplex) column(j int, visit func(row int, v float64)) {
-	if j < s.nv {
-		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
-			visit(s.colIdx[k], s.colVal[k])
-		}
-		return
-	}
-	// Slack and artificial columns are unit vectors.
+// unitRow returns the row of the single +1 entry of slack or artificial
+// column j (j >= nv).
+func (s *simplex) unitRow(j int) int {
 	row := j - s.nv
 	if row >= s.m {
 		row -= s.m
 	}
-	visit(row, 1)
+	return row
 }
 
 // solve runs phase I (if needed) and phase II and packages the result.
@@ -282,17 +279,38 @@ func norm1(v []float64) float64 {
 
 // multipliers computes y = c_B^T * Binv into s.y.
 func (s *simplex) multipliers(c []float64) {
-	for k := 0; k < s.m; k++ {
-		s.y[k] = 0
-	}
-	for r := 0; r < s.m; r++ {
-		cb := c[s.basis[r]]
-		if cb == 0 {
+	y := s.y
+	clear(y)
+	// Rows with a nonzero cost are folded in four at a time: every y[k]
+	// still receives its terms one by one in row order, but is loaded and
+	// stored once per block instead of once per row.
+	var cb [4]float64
+	var rows [4][]float64
+	n := 0
+	for r, j := range s.basis {
+		if c[j] == 0 {
 			continue
 		}
-		row := s.binv[r]
-		for k := 0; k < s.m; k++ {
-			s.y[k] += cb * row[k]
+		cb[n], rows[n] = c[j], s.binv[r][:len(y)]
+		if n++; n < len(cb) {
+			continue
+		}
+		n = 0
+		c0, c1, c2, c3 := cb[0], cb[1], cb[2], cb[3]
+		r0, r1, r2, r3 := rows[0], rows[1], rows[2], rows[3]
+		for k := range y {
+			t := y[k]
+			t += c0 * r0[k]
+			t += c1 * r1[k]
+			t += c2 * r2[k]
+			t += c3 * r3[k]
+			y[k] = t
+		}
+	}
+	for i := 0; i < n; i++ {
+		ci, row := cb[i], rows[i]
+		for k := range y {
+			y[k] += ci * row[k]
 		}
 	}
 }
@@ -300,21 +318,55 @@ func (s *simplex) multipliers(c []float64) {
 // reducedCost returns d_j = c_j - y . A_j for nonbasic column j.
 func (s *simplex) reducedCost(c []float64, j int) float64 {
 	d := c[j]
-	s.column(j, func(row int, v float64) {
-		d -= s.y[row] * v
-	})
+	if j >= s.nv {
+		return d - s.y[s.unitRow(j)]
+	}
+	for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+		d -= s.y[s.colIdx[k]] * s.colVal[k]
+	}
 	return d
+}
+
+// ftran computes w = Binv * A_j into s.w one row of the inverse at a time,
+// each w[i] accumulated over the column's nonzeros in CSC order. A unit
+// column copies its row's entries; the sign of a zero in w never matters,
+// because every use of w skips its zeros or compares them with a
+// tolerance.
+func (s *simplex) ftran(j int) {
+	if j >= s.nv {
+		r := s.unitRow(j)
+		for i, row := range s.binv {
+			s.w[i] = row[r]
+		}
+		return
+	}
+	idx := s.colIdx[s.colPtr[j]:s.colPtr[j+1]]
+	val := s.colVal[s.colPtr[j]:s.colPtr[j+1]]
+	for i, row := range s.binv {
+		wi := 0.0
+		for k, r := range idx {
+			wi += row[r] * val[k]
+		}
+		s.w[i] = wi
+	}
 }
 
 // iterate runs simplex iterations for the given (maximization) objective
 // until optimal, unbounded, or the iteration budget is exhausted.
 func (s *simplex) iterate(c []float64) Status {
+	// The multipliers y = c_B * Binv depend only on the basis and its
+	// inverse, so a bound flip (which changes neither) keeps them; only a
+	// pivot, which may also refactorize, makes them stale.
+	stale := true
 	for {
 		if s.iters >= s.maxIters {
 			return IterationLimit
 		}
 		s.iters++
-		s.multipliers(c)
+		if stale {
+			s.multipliers(c)
+			stale = false
+		}
 
 		enter := -1
 		var enterDelta float64 // +1 entering increases, -1 decreases
@@ -353,14 +405,7 @@ func (s *simplex) iterate(c []float64) Status {
 
 		// Direction of change of the basic variables per unit of entering
 		// movement: x_B -= delta * w, with w = Binv * A_enter.
-		for i := 0; i < s.m; i++ {
-			s.w[i] = 0
-		}
-		s.column(enter, func(row int, v float64) {
-			for i := 0; i < s.m; i++ {
-				s.w[i] += s.binv[i][row] * v
-			}
-		})
+		s.ftran(enter)
 
 		// Ratio test.
 		limit := math.Inf(1)
@@ -433,6 +478,7 @@ func (s *simplex) iterate(c []float64) Status {
 		}
 
 		// Pivot: basis change.
+		stale = true
 		s.x[enter] += enterDelta * limit
 		leave := s.basis[leaveRow]
 		if leaveToUpper {
@@ -483,16 +529,20 @@ func (s *simplex) iterate(c []float64) Status {
 // recomputeBasics recomputes x_B = Binv*(b - N x_N) exactly, killing the
 // incremental drift accumulated during pivoting.
 func (s *simplex) recomputeBasics() {
-	r := make([]float64, s.m)
+	r := s.r
 	copy(r, s.b)
 	for j := 0; j < s.nc; j++ {
 		if s.pos[j] >= 0 || s.x[j] == 0 {
 			continue
 		}
 		xj := s.x[j]
-		s.column(j, func(row int, v float64) {
-			r[row] -= v * xj
-		})
+		if j >= s.nv {
+			r[s.unitRow(j)] -= xj
+			continue
+		}
+		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+			r[s.colIdx[k]] -= s.colVal[k] * xj
+		}
 	}
 	for i := 0; i < s.m; i++ {
 		xb := 0.0
@@ -505,19 +555,31 @@ func (s *simplex) recomputeBasics() {
 }
 
 // refactorize rebuilds Binv from scratch by Gauss-Jordan elimination with
-// partial pivoting and recomputes the basic values.
+// partial pivoting and recomputes the basic values. The m x 2m work matrix
+// is allocated once per solve and reset on every later call.
 func (s *simplex) refactorize() {
 	m := s.m
 	// aug = [B | I], reduced in place to [I | Binv].
-	aug := make([][]float64, m)
+	if s.aug == nil {
+		slab := make([]float64, m*2*m)
+		s.aug = make([][]float64, m)
+		for i := range s.aug {
+			s.aug[i] = slab[i*2*m : (i+1)*2*m : (i+1)*2*m]
+		}
+	}
+	aug := s.aug
 	for i := 0; i < m; i++ {
-		aug[i] = make([]float64, 2*m)
+		clear(aug[i])
 		aug[i][m+i] = 1
 	}
-	for r := 0; r < m; r++ {
-		s.column(s.basis[r], func(row int, v float64) {
-			aug[row][r] = v
-		})
+	for r, j := range s.basis {
+		if j >= s.nv {
+			aug[s.unitRow(j)][r] = 1
+			continue
+		}
+		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+			aug[s.colIdx[k]][r] = s.colVal[k]
+		}
 	}
 	for col := 0; col < m; col++ {
 		p := col

@@ -74,8 +74,9 @@ type Config struct {
 	CIPEpsilon float64
 	// CIPMaxCapacities caps the number of capacities CIP tries (0 = no cap).
 	CIPMaxCapacities int
-	// Workers bounds the QuoteBatch and Calibrate worker pools
-	// (0 = GOMAXPROCS).
+	// Workers bounds the QuoteBatch and Calibrate worker pools: quoting,
+	// hypergraph construction and the LPIP/CIP candidate LPs
+	// (0 = GOMAXPROCS, 1 = serial).
 	Workers int
 	// Shards partitions the support set: calibration schedules
 	// shard × query tiles over the worker pool and each quote fans out
@@ -375,6 +376,7 @@ func (b *Broker) engineOptions() engine.Options {
 		CIPEpsilon:        b.cfg.CIPEpsilon,
 		CIPMaxCapacities:  b.cfg.CIPMaxCapacities,
 		Shards:            b.cfg.Shards,
+		Workers:           b.cfg.Workers,
 	}
 }
 

@@ -14,7 +14,9 @@ package pricing
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"querypricing/internal/hypergraph"
@@ -204,8 +206,13 @@ type LPItemOptions struct {
 	// MaxCandidates caps how many valuation thresholds are tried (the paper
 	// tries all m; 0 means all distinct valuations). When capped, the
 	// thresholds are spread evenly over the sorted distinct valuations,
-	// always including the largest and smallest.
+	// always including the largest and smallest. A cap of 1 tries only the
+	// smallest valuation, forcing the sale of every bundle: the one
+	// threshold whose LP constrains the whole instance.
 	MaxCandidates int
+	// Workers bounds the pool that solves the candidate LPs concurrently
+	// (0 = GOMAXPROCS, 1 = serial). The result does not depend on it.
+	Workers int
 }
 
 // LPItem is the LPIP algorithm of Section 5.2. For every candidate
@@ -233,37 +240,134 @@ func LPItem(h *hypergraph.Hypergraph, opts LPItemOptions) (Result, error) {
 		prefixes = append(prefixes, i+1)
 	}
 	if opts.MaxCandidates > 0 && len(prefixes) > opts.MaxCandidates {
-		sampled := make([]int, 0, opts.MaxCandidates)
-		for t := 0; t < opts.MaxCandidates; t++ {
-			idx := t * (len(prefixes) - 1) / (opts.MaxCandidates - 1)
-			sampled = append(sampled, prefixes[idx])
+		if opts.MaxCandidates == 1 {
+			// The smallest valuation: every bundle is forced.
+			prefixes = prefixes[len(prefixes)-1:]
+		} else {
+			sampled := make([]int, 0, opts.MaxCandidates)
+			for t := 0; t < opts.MaxCandidates; t++ {
+				idx := t * (len(prefixes) - 1) / (opts.MaxCandidates - 1)
+				sampled = append(sampled, prefixes[idx])
+			}
+			prefixes = dedupeInts(sampled)
 		}
-		prefixes = dedupeInts(sampled)
 	}
 
+	// A longer prefix forces more sales, so its LP has more rows.
+	cands, failed, err := solveCandidates(h, prefixes, opts.Workers, func(i int) ([]float64, error) {
+		return solveForcedSaleLP(h, order[:prefixes[i]])
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("pricing: LPIP threshold %d: %w", prefixes[failed], err)
+	}
 	best := Result{Algorithm: "LPIP"}
-	lpSolves := 0
-	for _, plen := range prefixes {
-		w, err := solveForcedSaleLP(h, order[:plen])
-		if err != nil {
-			return Result{}, fmt.Errorf("pricing: LPIP threshold %d: %w", plen, err)
-		}
-		lpSolves++
-		if w == nil {
+	for _, c := range cands {
+		if c.w == nil {
 			continue // LP not solved to optimality; skip this candidate
 		}
-		rev := RevenueAdditive(h, w)
-		if rev > best.Revenue {
-			best.Revenue = rev
-			best.Weights = w
+		if c.rev > best.Revenue {
+			best.Revenue = c.rev
+			best.Weights = c.w
 		}
 	}
 	if best.Weights == nil {
 		best.Weights = make([]float64, h.NumItems())
 	}
-	best.LPSolves = lpSolves
+	best.LPSolves = len(cands)
 	best.Runtime = time.Since(start)
 	return best, nil
+}
+
+// candidateLP is the outcome of one of LPIP's or CIP's independent
+// candidate LPs: its item pricing (nil when the LP stopped short of
+// optimality) and the revenue that pricing extracts.
+type candidateLP struct {
+	w   []float64
+	rev float64
+}
+
+// solveCandidates solves the independent candidate LPs of LPIP or CIP —
+// solve(i) builds and solves the i-th — and evaluates each pricing on h.
+// size[i] estimates the i-th LP's row count. With one worker the LPs run
+// in candidate order, exactly as a loop would; otherwise up to workers
+// goroutines (0 = GOMAXPROCS) take them largest first, so the longest
+// solve does not start last. Outcomes come back by candidate index, so
+// the caller picks its winner in candidate order whatever the schedule.
+// On failure it returns the lowest failing index and its error, the one a
+// serial loop stopping at its first failure would report.
+func solveCandidates(h *hypergraph.Hypergraph, size []int, workers int, solve func(i int) ([]float64, error)) ([]candidateLP, int, error) {
+	n := len(size)
+	out := make([]candidateLP, n)
+	run := func(i int) error {
+		w, err := solve(i)
+		if err != nil {
+			return err
+		}
+		out[i].w = w
+		if w != nil {
+			out[i].rev = RevenueAdditive(h, w)
+		}
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := range out {
+			if err := run(i); err != nil {
+				return nil, i, err
+			}
+		}
+		return out, -1, nil
+	}
+
+	sched := make([]int, n)
+	for i := range sched {
+		sched[i] = i
+	}
+	sort.SliceStable(sched, func(a, b int) bool { return size[sched[a]] > size[sched[b]] })
+	var (
+		mu      sync.Mutex
+		next    int
+		failed  = n // lowest failing index so far
+		failErr error
+		wg      sync.WaitGroup
+	)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				mu.Lock()
+				if next == n {
+					mu.Unlock()
+					return
+				}
+				i := sched[next]
+				next++
+				skip := i > failed // only a lower failure can still be reported
+				mu.Unlock()
+				if skip {
+					continue
+				}
+				if err := run(i); err != nil {
+					mu.Lock()
+					if i < failed {
+						failed, failErr = i, err
+					}
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed < n {
+		return nil, failed, failErr
+	}
+	return out, -1, nil
 }
 
 func dedupeInts(in []int) []int {
@@ -342,6 +446,9 @@ type CapacityOptions struct {
 	Epsilon float64
 	// MaxCapacities caps the number of capacities tried (0 = no cap).
 	MaxCapacities int
+	// Workers bounds the pool that solves the capacity LPs concurrently
+	// (0 = GOMAXPROCS, 1 = serial). The result does not depend on it.
+	Workers int
 }
 
 // Capacity is the CIP primal-dual algorithm of Cheung & Swamy adapted to
@@ -362,29 +469,40 @@ func Capacity(h *hypergraph.Hypergraph, opts CapacityOptions) (Result, error) {
 		best.Runtime = time.Since(start)
 		return best, nil // no incidences: all prices zero
 	}
-	lpSolves := 0
-	tried := 0
+	var caps []float64
 	for k := 1.0; k < float64(B); k *= 1 + eps {
-		if opts.MaxCapacities > 0 && tried >= opts.MaxCapacities {
+		if opts.MaxCapacities > 0 && len(caps) >= opts.MaxCapacities {
 			break
 		}
-		tried++
-		w, err := welfareDualPrices(h, k)
-		if err != nil {
-			return Result{}, fmt.Errorf("pricing: CIP capacity %g: %w", k, err)
-		}
-		lpSolves++
-		if w == nil {
-			continue
-		}
-		rev := RevenueAdditive(h, w)
-		if rev > best.Revenue {
-			best.Revenue = rev
-			best.Weights = w
-			best.Extra = fmt.Sprintf("k=%.3g", k)
+		caps = append(caps, k)
+	}
+	// Capacity k constrains every item of degree above k.
+	inc := h.Incidence()
+	rows := make([]int, len(caps))
+	for i, k := range caps {
+		for _, edges := range inc {
+			if float64(len(edges)) > k {
+				rows[i]++
+			}
 		}
 	}
-	best.LPSolves = lpSolves
+	cands, failed, err := solveCandidates(h, rows, opts.Workers, func(i int) ([]float64, error) {
+		return welfareDualPrices(h, inc, caps[i])
+	})
+	if err != nil {
+		return Result{}, fmt.Errorf("pricing: CIP capacity %g: %w", caps[failed], err)
+	}
+	for i, c := range cands {
+		if c.w == nil {
+			continue
+		}
+		if c.rev > best.Revenue {
+			best.Revenue = c.rev
+			best.Weights = c.w
+			best.Extra = fmt.Sprintf("k=%.3g", caps[i])
+		}
+	}
+	best.LPSolves = len(cands)
 	best.Runtime = time.Since(start)
 	return best, nil
 }
@@ -392,14 +510,14 @@ func Capacity(h *hypergraph.Hypergraph, opts CapacityOptions) (Result, error) {
 // welfareDualPrices solves max sum_e v_e x_e subject to x_e in [0,1] and,
 // for every item j with degree > k, sum_{e contains j} x_e <= k, returning
 // the duals of the item constraints as an item price vector (items without
-// a constraint price at 0). Returns nil if the LP did not reach optimality.
-func welfareDualPrices(h *hypergraph.Hypergraph, k float64) ([]float64, error) {
+// a constraint price at 0). inc is h.Incidence(), shared read-only by the
+// capacities. Returns nil if the LP did not reach optimality.
+func welfareDualPrices(h *hypergraph.Hypergraph, inc [][]int, k float64) ([]float64, error) {
 	p := lp.NewProblem(lp.Maximize)
 	m := h.NumEdges()
 	for i := 0; i < m; i++ {
 		p.AddVariable(h.Edge(i).Valuation, 0, 1)
 	}
-	inc := h.Incidence()
 	rowItem := make([]int, 0)
 	for j, edges := range inc {
 		if float64(len(edges)) <= k {

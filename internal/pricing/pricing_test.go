@@ -1,8 +1,10 @@
 package pricing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -519,5 +521,107 @@ func TestResultPrice(t *testing.T) {
 	r = Result{WeightSets: [][]float64{{1, 2, 3}, {5, 0, 0}}}
 	if r.Price(&e) != 5 {
 		t.Fatal("XOS price path broken")
+	}
+}
+
+func TestLPItemSingleCandidate(t *testing.T) {
+	// One candidate is the smallest valuation: every bundle is forced, so
+	// the pricing sells them all and its revenue is the optimum of the
+	// LP over the whole instance, which RefineUniformBundle also solves
+	// at that flat price (with its rows in another order).
+	rng := rand.New(rand.NewSource(13))
+	h := randInstance(rng, 10, 30, 10)
+	got, err := LPItem(h, LPItemOptions{MaxCandidates: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LPSolves != 1 {
+		t.Fatalf("LPIP with one candidate solved %d LPs, want 1", got.LPSolves)
+	}
+	lowest := math.Inf(1)
+	for i := 0; i < h.NumEdges(); i++ {
+		e := h.Edge(i)
+		lowest = math.Min(lowest, e.Valuation)
+		if p := AdditivePrice(e, got.Weights); !Sold(p, e.Valuation) {
+			t.Fatalf("edge %d priced %g over its valuation %g", i, p, e.Valuation)
+		}
+	}
+	forced, err := RefineUniformBundle(h, lowest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.Revenue-forced.Revenue) > 1e-9*forced.Revenue {
+		t.Fatalf("LPIP with one candidate revenue %g, want the all-forced LP's %g", got.Revenue, forced.Revenue)
+	}
+}
+
+func TestSolveCandidatesReportsLowestFailure(t *testing.T) {
+	h := hypergraph.New(1)
+	size := []int{1, 5, 2, 8, 3, 9, 4}
+	failing := map[int]bool{3: true, 5: true}
+	for _, workers := range []int{1, 2, 4, len(size)} {
+		_, failed, err := solveCandidates(h, size, workers, func(i int) ([]float64, error) {
+			if failing[i] {
+				return nil, fmt.Errorf("candidate %d", i)
+			}
+			return []float64{float64(i)}, nil
+		})
+		if failed != 3 || err == nil || err.Error() != "candidate 3" {
+			t.Fatalf("workers=%d: failed=%d err=%v, want candidate 3", workers, failed, err)
+		}
+	}
+}
+
+func TestSolveCandidatesIndexAligned(t *testing.T) {
+	h := hypergraph.New(2)
+	if err := h.AddEdge([]int{0, 1}, 10, ""); err != nil {
+		t.Fatal(err)
+	}
+	size := []int{3, 1, 4, 1, 5, 9, 2, 6}
+	out, failed, err := solveCandidates(h, size, 3, func(i int) ([]float64, error) {
+		if i%4 == 1 {
+			return nil, nil // not optimal: no pricing, no revenue
+		}
+		return []float64{float64(i), 1}, nil
+	})
+	if err != nil || failed != -1 {
+		t.Fatalf("failed=%d err=%v", failed, err)
+	}
+	for i, c := range out {
+		if i%4 == 1 {
+			if c.w != nil || c.rev != 0 {
+				t.Fatalf("candidate %d: got %v rev %g, want no pricing", i, c.w, c.rev)
+			}
+			continue
+		}
+		if want := RevenueAdditive(h, []float64{float64(i), 1}); c.w[0] != float64(i) || c.rev != want {
+			t.Fatalf("candidate %d: got %v rev %g, want weight %d rev %g", i, c.w, c.rev, i, want)
+		}
+	}
+}
+
+func TestCandidateErrorMatchesSerial(t *testing.T) {
+	// A NaN valuation makes every LP containing that bundle invalid: here
+	// LPIP's 9th threshold onwards (the NaN sorts there) and all of CIP's
+	// capacities. The concurrent pool, which starts from the largest LP,
+	// must report the same lowest failing candidate as the serial loop.
+	rng := rand.New(rand.NewSource(17))
+	h := randInstance(rng, 12, 40, 10)
+	h.Edge(24).Valuation = math.NaN()
+	for _, algo := range []struct {
+		name, want string
+		run        func(workers int) (Result, error)
+	}{
+		{"LPIP", "LPIP threshold 9:", func(w int) (Result, error) { return LPItem(h, LPItemOptions{Workers: w}) }},
+		{"CIP", "CIP capacity 1:", func(w int) (Result, error) { return Capacity(h, CapacityOptions{Epsilon: 0.2, Workers: w}) }},
+	} {
+		_, serial := algo.run(1)
+		if serial == nil || !strings.Contains(serial.Error(), algo.want) {
+			t.Fatalf("%s: serial error %v, want %q", algo.name, serial, algo.want)
+		}
+		_, pooled := algo.run(4)
+		if pooled == nil || pooled.Error() != serial.Error() {
+			t.Fatalf("%s: pooled error %v, serial %v", algo.name, pooled, serial)
+		}
 	}
 }
